@@ -538,7 +538,10 @@ void KvsEngine::AbortCompaction(Status reason, StartCallback done) {
     DeviceId provider = compact_file_->provider();
     std::string target = GenName(generation_ + 1);
     compact_file_->Reset(reason);
-    compact_file_.reset();
+    // A failed Append aborts from inside the compaction client's own
+    // completion loop, so the client is destroyed only once that returns.
+    retired_file_ = std::move(compact_file_);
+    host_->simulator()->Schedule(sim::Duration::Zero(), [this] { retired_file_.reset(); });
     if (provider.valid()) {
       ssddev::DeleteRemoteFile(host_, provider, target, config_.auth_token, [](Status) {});
     }

@@ -160,6 +160,8 @@ class KvsEngine {
 
   bool compacting_ = false;
   std::unique_ptr<ssddev::FileClient> compact_file_;
+  // An aborted compaction's client, kept until its completion loop returns.
+  std::unique_ptr<ssddev::FileClient> retired_file_;
 
   // 256-byte tier: a queued op captures a key plus a nested 160-tier
   // completion (~210-230 bytes) and must stay inline.

@@ -19,14 +19,17 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
+  // Parses straight into the result. Moving a finished JsonValue into a
+  // Result afterwards makes gcc 12 report -Wmaybe-uninitialized inside the
+  // nested std::variant move.
   Result<JsonValue> Parse() {
-    JsonValue value;
-    LASTCPU_JSON_RETURN(ParseValue(&value));
+    Result<JsonValue> document = JsonValue();
+    LASTCPU_JSON_RETURN(ParseValue(&*document));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing garbage after document");
     }
-    return value;
+    return document;
   }
 
  private:

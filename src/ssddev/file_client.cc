@@ -330,7 +330,8 @@ bool FileClient::HandleDoorbell(DeviceId from, uint64_t value) {
 }
 
 void FileClient::DrainCompletions() {
-  for (;;) {
+  // A completion callback may Reset or Close the session, dropping queue_.
+  while (queue_ != nullptr) {
     auto used = queue_->PollUsed();
     if (!used.ok() || !used->has_value()) {
       return;

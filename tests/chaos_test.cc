@@ -49,8 +49,8 @@ class MagazineStub : public dev::Device {
 
 struct Schedule {
   const char* name;
-  sim::CrashPlan plan;
-  bus::RestartPolicy policy;  // defaults unless a schedule overrides
+  sim::CrashPlan plan{};
+  bus::RestartPolicy policy{};  // defaults unless a schedule overrides
   bool expect_ssd_quarantine = false;
   // Adds a 4th device that stocks a full grant magazine before the crash
   // schedule kills it for good: its leased regions are ordinary owned
@@ -318,7 +318,9 @@ RunOutcome RunSchedule(const Schedule& sched, bool batched) {
   uint32_t outstanding = 0;
   for (int i = 0; i < 80; ++i) {
     machine.RunFor(sim::Duration::Micros(50));
-    std::string key = "k" + std::to_string(i);
+    // Built by append: `"k" + std::to_string(i)` trips a gcc 12 -Wrestrict
+    // false positive in Release builds.
+    std::string key = std::string("k").append(std::to_string(i));
     std::vector<uint8_t> value(32);
     for (size_t b = 0; b < value.size(); ++b) {
       value[b] = static_cast<uint8_t>((i * 7 + b) & 0xff);

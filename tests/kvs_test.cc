@@ -150,9 +150,9 @@ TEST(WorkloadTest, DeterministicForSeed) {
 
 class KvsMachineTest : public ::testing::Test {
  protected:
-  KvsMachineTest() {
+  explicit KvsMachineTest(ssddev::SmartSsdConfig ssd_config = NoAuth()) {
     machine_.AddMemoryController();
-    ssd_ = &machine_.AddSmartSsd(NoAuth());
+    ssd_ = &machine_.AddSmartSsd(ssd_config);
     nic_ = &machine_.AddSmartNic();
     ssd_->ProvisionFile("kv.log", {});
     app_pasid_ = machine_.NewApplication("kvs");
@@ -424,6 +424,56 @@ TEST_F(KvsMachineTest, TeardownReclaimsApplicationMemory) {
   machine_.RunUntilIdle();
   EXPECT_EQ(nic_->iommu().mapped_pages(app_pasid_), 0u);
   EXPECT_EQ(ssd_->iommu().mapped_pages(app_pasid_), 0u);
+}
+
+// A 128-page NAND array (96 logical pages): a handful of ~1.5 KiB records
+// fill FlashFs, so a compaction has nowhere to copy the live set to.
+class KvsFullSsdTest : public KvsMachineTest {
+ protected:
+  KvsFullSsdTest() : KvsMachineTest(TinySsd()) {}
+
+  static ssddev::SmartSsdConfig TinySsd() {
+    ssddev::SmartSsdConfig config = NoAuth();
+    config.nand.dies = 2;
+    config.nand.blocks_per_die = 8;
+    config.nand.pages_per_block = 8;
+    return config;
+  }
+};
+
+TEST_F(KvsFullSsdTest, CompactionAbortedByFailedAppendLeavesStoreServing) {
+  // Fill FlashFs with live records until a Put runs out of logical pages.
+  const std::vector<uint8_t> value(1500, 0x5A);
+  int stored = 0;
+  Status put = OkStatus();
+  while (put.ok()) {
+    put = PutSync("key" + std::to_string(stored), value);
+    if (put.ok()) {
+      ++stored;
+    }
+    ASSERT_LT(stored, 1000) << "the SSD never filled up";
+  }
+  ASSERT_EQ(put.code(), StatusCode::kResourceExhausted) << put.ToString();
+  ASSERT_GT(stored, 0);
+
+  // The copy's Append fails inside the compaction client's own completion
+  // loop; aborting there must not free the client under that loop.
+  std::optional<Status> compacted;
+  app_->engine().CompactNow([&](Status s) { compacted = s; });
+  machine_.RunUntilIdle();
+  ASSERT_TRUE(compacted.has_value());
+  EXPECT_EQ(compacted->code(), StatusCode::kResourceExhausted) << compacted->ToString();
+  EXPECT_EQ(app_->engine().stats().GetCounter("compactions_aborted").value(), 1u);
+  EXPECT_EQ(app_->engine().generation(), 0u);
+  EXPECT_FALSE(ssd_->fs().Exists("kv.log.1"));
+
+  // The old generation still serves every key.
+  EXPECT_TRUE(app_->engine().running());
+  for (int i = 0; i < stored; ++i) {
+    auto got = GetSync("key" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, value);
+  }
 }
 
 }  // namespace

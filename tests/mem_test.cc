@@ -1,6 +1,7 @@
 // Physical memory and buddy allocator tests, including property-style sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <set>
 #include <vector>
@@ -45,6 +46,95 @@ TEST(PhysicalMemoryTest, OutOfRangeAborts) {
   std::vector<uint8_t> data(16);
   EXPECT_DEATH(memory.Write(PhysAddr(kPageSize - 8), data), "out of range");
 }
+
+TEST(PhysicalMemoryTest, OutOfRangeReadsAndByteWritesAbort) {
+  PhysicalMemory memory(kPageSize);
+  std::vector<uint8_t> out(16);
+  EXPECT_DEATH(memory.Read(PhysAddr(kPageSize - 8), out), "out of range");
+  EXPECT_DEATH(memory.Read(PhysAddr(~uint64_t{0}), out), "out of range");
+  EXPECT_DEATH(memory.ReadByte(PhysAddr(kPageSize)), "out of range");
+  EXPECT_DEATH(memory.WriteByte(PhysAddr(kPageSize), 1), "out of range");
+}
+
+TEST(PhysicalMemoryTest, FreshMemoryReadsZeroEverywhere) {
+  constexpr uint64_t kBytes = uint64_t{256} << 20;
+  PhysicalMemory memory(kBytes);
+  EXPECT_EQ(memory.ReadByte(PhysAddr(0)), 0);
+  EXPECT_EQ(memory.ReadByte(PhysAddr(kBytes / 2)), 0);
+  EXPECT_EQ(memory.ReadByte(PhysAddr(kBytes - 1)), 0);
+  EXPECT_EQ(memory.ReadU64(PhysAddr(kBytes - 8)), 0u);
+}
+
+TEST(PhysicalMemoryTest, FrameStraddlingWriteAndSingleFrameZero) {
+  PhysicalMemory memory(4 * kPageSize);
+  std::vector<uint8_t> data(64);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i + 1);
+  }
+  const PhysAddr start(2 * kPageSize - 32);  // 32 bytes in frame 1, 32 in frame 2
+  memory.Write(start, data);
+  std::vector<uint8_t> out(data.size());
+  memory.Read(start, out);
+  EXPECT_EQ(out, data);
+
+  memory.ZeroFrame(2);
+  memory.Read(start, out);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i < 32 ? data[i] : 0) << "byte " << i;
+  }
+}
+
+class PhysicalMemoryPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Random writes, reads, frame zeroing and u64 stores against a shadow copy.
+TEST_P(PhysicalMemoryPropertyTest, MatchesShadowBuffer) {
+  constexpr uint64_t kFrames = 64;
+  PhysicalMemory memory(kFrames * kPageSize);
+  std::vector<uint8_t> shadow(kFrames * kPageSize, 0);
+  sim::Rng rng(GetParam());
+  for (int step = 0; step < 2000; ++step) {
+    uint64_t len = rng.NextInRange(1, 3 * kPageSize);
+    uint64_t addr = rng.NextBelow(shadow.size() - len + 1);
+    switch (rng.NextBelow(4)) {
+      case 0: {
+        std::vector<uint8_t> data(len);
+        rng.Fill(data);
+        memory.Write(PhysAddr(addr), data);
+        std::copy(data.begin(), data.end(), shadow.begin() + static_cast<ptrdiff_t>(addr));
+        break;
+      }
+      case 1: {
+        std::vector<uint8_t> out(len);
+        memory.Read(PhysAddr(addr), out);
+        ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                               shadow.begin() + static_cast<ptrdiff_t>(addr)))
+            << "step " << step << " read at " << addr;
+        break;
+      }
+      case 2: {
+        uint64_t frame = rng.NextBelow(kFrames);
+        memory.ZeroFrame(frame);
+        std::fill_n(shadow.begin() + static_cast<ptrdiff_t>(frame * kPageSize), kPageSize, 0);
+        break;
+      }
+      case 3: {
+        uint64_t at = rng.NextBelow(shadow.size() - 7);
+        uint64_t value = rng.NextU64();
+        memory.WriteU64(PhysAddr(at), value);
+        for (int i = 0; i < 8; ++i) {
+          shadow[at + i] = static_cast<uint8_t>(value >> (8 * i));
+        }
+        ASSERT_EQ(memory.ReadU64(PhysAddr(at)), value);
+        break;
+      }
+    }
+  }
+  std::vector<uint8_t> all(shadow.size());
+  memory.Read(PhysAddr(0), all);
+  EXPECT_EQ(all, shadow);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhysicalMemoryPropertyTest, ::testing::Values(1, 7, 42));
 
 TEST(BuddyTest, AllocatesDistinctBlocks) {
   BuddyAllocator buddy(64);
