@@ -24,6 +24,21 @@ void CentralKernel::RegisterDevice(DeviceId device, iommu::Iommu* iommu) {
   devices_[device] = iommu;
 }
 
+sim::SpanId CentralKernel::BeginOpSpan(
+    std::string_view name, std::initializer_list<std::pair<std::string_view, uint64_t>> fields) {
+  if (!tracer_.enabled()) {
+    return 0;
+  }
+  std::string detail;
+  for (const auto& [key, value] : fields) {
+    if (!detail.empty()) {
+      detail += ' ';
+    }
+    detail.append(key).append("=").append(std::to_string(value));
+  }
+  return tracer_.BeginSpan(name, 0, detail);
+}
+
 iommu::Iommu* CentralKernel::FindIommu(DeviceId device) {
   auto it = devices_.find(device);
   return it == devices_.end() ? nullptr : it->second;
@@ -151,8 +166,7 @@ void CentralKernel::AllocMemory(DeviceId requester, Pasid pasid, uint64_t bytes,
   LASTCPU_CHECK(done != nullptr, "alloc without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Alloc", "pasid=" + std::to_string(pasid.value()) +
-                                              " bytes=" + std::to_string(bytes));
+  sim::SpanId span = BeginOpSpan("Alloc", {{"pasid", pasid.value()}, {"bytes", bytes}});
   RunOnCpu(service, [this, requester, pasid, bytes, pages, done = std::move(done)] {
     if (bytes == 0) {
       done(InvalidArgument("zero-byte allocation"));
@@ -197,8 +211,7 @@ void CentralKernel::FreeMemory(DeviceId requester, Pasid pasid, VirtAddr vaddr, 
   LASTCPU_CHECK(done != nullptr, "free without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Free", "pasid=" + std::to_string(pasid.value()) +
-                                             " bytes=" + std::to_string(bytes));
+  sim::SpanId span = BeginOpSpan("Free", {{"pasid", pasid.value()}, {"bytes", bytes}});
   RunOnCpu(service, [this, requester, pasid, vaddr, pages, done = std::move(done)] {
     auto table_it = tables_.find(pasid);
     if (table_it == tables_.end()) {
@@ -233,8 +246,7 @@ void CentralKernel::AllocMemoryBatch(DeviceId requester, Pasid pasid, uint64_t b
   // One interrupt + one syscall entry for the whole batch; the handler still
   // does per-allocation work.
   sim::Duration service = (config_.mm_service + config_.per_page_cost * pages) * count;
-  sim::SpanId span = BeginOpSpan("AllocBatch", "pasid=" + std::to_string(pasid.value()) +
-                                                   " count=" + std::to_string(count));
+  sim::SpanId span = BeginOpSpan("AllocBatch", {{"pasid", pasid.value()}, {"count", count}});
   RunOnCpu(service, [this, requester, pasid, bytes, pages, count, done = std::move(done)] {
     if (bytes == 0 || count == 0) {
       done(InvalidArgument("empty batch allocation"));
@@ -305,8 +317,8 @@ void CentralKernel::FreeMemoryBatch(DeviceId requester, Pasid pasid, std::vector
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service =
       (config_.mm_service + config_.per_page_cost * pages) * static_cast<uint32_t>(vaddrs.size());
-  sim::SpanId span = BeginOpSpan("FreeBatch", "pasid=" + std::to_string(pasid.value()) +
-                                                  " count=" + std::to_string(vaddrs.size()));
+  sim::SpanId span =
+      BeginOpSpan("FreeBatch", {{"pasid", pasid.value()}, {"count", vaddrs.size()}});
   RunOnCpu(service, [this, requester, pasid, vaddrs = std::move(vaddrs), pages,
                      done = std::move(done)] {
     if (vaddrs.empty()) {
@@ -351,8 +363,8 @@ void CentralKernel::Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t 
   LASTCPU_CHECK(done != nullptr, "grant without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Grant", "pasid=" + std::to_string(pasid.value()) +
-                                              " grantee=" + std::to_string(grantee.value()));
+  sim::SpanId span =
+      BeginOpSpan("Grant", {{"pasid", pasid.value()}, {"grantee", grantee.value()}});
   RunOnCpu(service, [this, owner, pasid, vaddr, bytes, pages, grantee, access,
                      done = std::move(done)] {
     Allocation* allocation = FindCovering(pasid, vaddr, bytes);
@@ -386,8 +398,8 @@ void CentralKernel::Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t
   LASTCPU_CHECK(done != nullptr, "revoke without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Revoke", "pasid=" + std::to_string(pasid.value()) +
-                                               " grantee=" + std::to_string(grantee.value()));
+  sim::SpanId span =
+      BeginOpSpan("Revoke", {{"pasid", pasid.value()}, {"grantee", grantee.value()}});
   RunOnCpu(service, [this, owner, pasid, vaddr, bytes, pages, grantee, done = std::move(done)] {
     Allocation* allocation = FindCovering(pasid, vaddr, bytes);
     if (allocation == nullptr) {
@@ -420,7 +432,7 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
     }
   }
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Teardown", "pasid=" + std::to_string(pasid.value()));
+  sim::SpanId span = BeginOpSpan("Teardown", {{"pasid", pasid.value()}});
   RunOnCpu(service, [this, pasid, done = std::move(done)] {
     auto it = tables_.find(pasid);
     if (it != tables_.end()) {
@@ -443,7 +455,7 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
 
 void CentralKernel::MediateIo(sim::Duration work, std::function<void()> done) {
   LASTCPU_CHECK(done != nullptr, "mediation without callback");
-  sim::SpanId span = BeginOpSpan("MediateIo", "");
+  sim::SpanId span = BeginOpSpan("MediateIo", {});
   RunOnCpu(config_.io_service + work, std::move(done), span);
 }
 
@@ -484,8 +496,7 @@ void CentralKernel::ReportDeviceFailure(DeviceId device) {
   sup.episode_open = true;
   // The failure interrupt traps to the kernel; the supervision policy is a
   // software handler like everything else in this design.
-  sim::SpanId span =
-      BeginOpSpan("DeviceFailure", "device=" + std::to_string(device.value()));
+  sim::SpanId span = BeginOpSpan("DeviceFailure", {{"device", device.value()}});
   RunOnCpu(config_.io_service, [this, device] {
     auto it = supervision_.find(device);
     if (it == supervision_.end()) {
@@ -556,8 +567,7 @@ void CentralKernel::OnRestartDeadline(DeviceId device) {
   sup.deadline.Release();  // it just fired; nothing left to cancel
   stats_.GetCounter("supervisor_restart_timeouts").Increment();
   // The timer interrupt traps to the kernel for the next decision.
-  sim::SpanId span =
-      BeginOpSpan("RestartDeadline", "device=" + std::to_string(device.value()));
+  sim::SpanId span = BeginOpSpan("RestartDeadline", {{"device", device.value()}});
   RunOnCpu(config_.io_service, [this, device] {
     auto sup_it = supervision_.find(device);
     if (sup_it == supervision_.end() ||

@@ -18,9 +18,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -161,10 +163,10 @@ class CentralKernel {
   // or when unconfigured). Counts cross_segment_interrupts as a side effect.
   sim::Duration CrossSegmentExtra(DeviceId requester);
 
-  // Opens the span for one kernel-mediated control operation.
-  sim::SpanId BeginOpSpan(std::string_view name, const std::string& detail) {
-    return tracer_.BeginSpan(name, 0, detail);
-  }
+  // Opens the span for one kernel-mediated control operation, labelled
+  // "key=value key=value ...". The label is built only when tracing is on.
+  sim::SpanId BeginOpSpan(std::string_view name,
+                          std::initializer_list<std::pair<std::string_view, uint64_t>> fields);
 
   struct Supervision {
     enum class State : uint8_t { kHealthy, kRestarting, kQuarantined };

@@ -20,32 +20,28 @@ std::string FaultInfo::ToString() const {
 
 Iommu::Iommu(DeviceId owner, TlbConfig tlb_config) : owner_(owner), tlb_(tlb_config) {}
 
-PageTable* Iommu::FindTable(Pasid pasid) const {
+const PageTable* Iommu::FindTable(Pasid pasid) const {
   auto it = tables_.find(pasid);
-  return it == tables_.end() ? nullptr : it->second.get();
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 Status Iommu::Map(const ProgrammingKey& key, Pasid pasid, uint64_t vpage, uint64_t pframe,
                   Access access) {
   (void)key;
-  auto& table = tables_[pasid];
-  if (!table) {
-    table = std::make_unique<PageTable>();
-  }
-  return table->Map(vpage, pframe, access);
+  return tables_[pasid].Map(vpage, pframe, access);
 }
 
 Status Iommu::Unmap(const ProgrammingKey& key, Pasid pasid, uint64_t vpage) {
   (void)key;
-  PageTable* table = FindTable(pasid);
-  if (table == nullptr) {
+  auto it = tables_.find(pasid);
+  if (it == tables_.end()) {
     return NotFound("no such address space");
   }
-  Status status = table->Unmap(vpage);
+  Status status = it->second.Unmap(vpage);
   if (status.ok()) {
     tlb_.InvalidatePage(pasid, vpage);
-    if (table->mapped_pages() == 0) {
-      tables_.erase(pasid);
+    if (it->second.mapped_pages() == 0) {
+      tables_.erase(it);
     }
   }
   return status;
@@ -64,7 +60,7 @@ void Iommu::Reset(const ProgrammingKey& key) {
 }
 
 bool Iommu::WalkAndFill(Pasid pasid, VirtAddr vaddr, Access wanted, Translation* out) {
-  PageTable* table = FindTable(pasid);
+  const PageTable* table = FindTable(pasid);
   if (table == nullptr) {
     return false;
   }
@@ -91,7 +87,7 @@ Status Iommu::TranslateFault(Pasid pasid, VirtAddr vaddr, Access wanted) {
   uint64_t vpage = vaddr.page();
   if (vpage > PageTable::kMaxVpage) {
     kind = FaultInfo::Kind::kBadAddress;
-  } else if (PageTable* table = FindTable(pasid)) {
+  } else if (const PageTable* table = FindTable(pasid)) {
     auto pte = table->Lookup(vpage);
     if (pte.ok()) {
       kind = FaultInfo::Kind::kPermission;
@@ -113,7 +109,7 @@ Result<Translation> Iommu::Translate(Pasid pasid, VirtAddr vaddr, Access wanted)
 }
 
 uint64_t Iommu::mapped_pages(Pasid pasid) const {
-  PageTable* table = FindTable(pasid);
+  const PageTable* table = FindTable(pasid);
   return table == nullptr ? 0 : table->mapped_pages();
 }
 

