@@ -199,15 +199,15 @@ void SystemBus::SendFromPort(DeviceId src, proto::Message message) {
       stats_.GetCounter("faults_reordered").Increment();
       ReleaseHeld(arrival);  // one hold slot: an older captive goes out first
       held_message_ = std::move(message);
-      held_backstop_ =
-          simulator_->ScheduleAt(arrival + faults_->plan().reorder_window, [this] {
+      held_backstop_ = sim::ScopedEvent(
+          simulator_, simulator_->ScheduleAt(arrival + faults_->plan().reorder_window, [this] {
             if (!held_message_.has_value()) {
               return;
             }
             proto::Message held = std::move(*held_message_);
             held_message_.reset();
             Route(std::move(held));
-          });
+          }));
       return;
     }
   }
@@ -225,7 +225,7 @@ void SystemBus::ReleaseHeld(sim::SimTime at) {
   if (!held_message_.has_value()) {
     return;
   }
-  simulator_->Cancel(held_backstop_);
+  held_backstop_.Cancel();
   proto::Message held = std::move(*held_message_);
   held_message_.reset();
   simulator_->ScheduleAt(

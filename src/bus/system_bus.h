@@ -306,7 +306,7 @@ class SystemBus {
   // when the next send overtakes it, or by the backstop at the end of the
   // plan's reorder window.
   std::optional<proto::Message> held_message_;
-  sim::EventId held_backstop_;
+  sim::ScopedEvent held_backstop_;
 };
 
 }  // namespace lastcpu::bus

@@ -326,18 +326,28 @@ std::vector<size_t> ShardedControlClient::CandidateOrder() {
       // Home shards first (rotating among them so one segment's shards share
       // load), then the rest in directory order as spill targets.
       uint32_t home = SegmentOf(requester_->id());
-      std::vector<size_t> local;
-      std::vector<size_t> remote;
+      auto local = [this, home](size_t i) { return shards_[i].info.segment == home; };
+      size_t locals = 0;
       for (size_t i = 0; i < shards_.size(); ++i) {
-        (shards_[i].info.segment == home ? local : remote).push_back(i);
+        locals += local(i) ? 1 : 0;
       }
-      if (!local.empty()) {
-        size_t start = rr_next_++ % local.size();
-        for (size_t i = 0; i < local.size(); ++i) {
-          order.push_back(local[(start + i) % local.size()]);
+      if (locals > 0) {
+        // Home shards of rank start.. first, then ranks 0..start-1.
+        size_t start = rr_next_++ % locals;
+        for (bool tail : {true, false}) {
+          size_t rank = 0;
+          for (size_t i = 0; i < shards_.size(); ++i) {
+            if (local(i) && (rank++ >= start) == tail) {
+              order.push_back(i);
+            }
+          }
         }
       }
-      order.insert(order.end(), remote.begin(), remote.end());
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        if (!local(i)) {
+          order.push_back(i);
+        }
+      }
       break;
     }
     case AllocationPolicy::kCapacityAware: {
@@ -358,21 +368,17 @@ std::vector<size_t> ShardedControlClient::CandidateOrder() {
   }
   std::erase_if(order, [this](size_t i) { return !shards_[i].alive; });
   // After a takeover one device serves several slab records; offer it once.
-  std::vector<size_t> deduped;
-  deduped.reserve(order.size());
+  size_t kept = 0;
   for (size_t i : order) {
-    bool seen = false;
-    for (size_t j : deduped) {
-      if (shards_[j].info.device == shards_[i].info.device) {
-        seen = true;
-        break;
-      }
-    }
+    bool seen = std::any_of(order.begin(), order.begin() + kept, [this, i](size_t j) {
+      return shards_[j].info.device == shards_[i].info.device;
+    });
     if (!seen) {
-      deduped.push_back(i);
+      order[kept++] = i;
     }
   }
-  return deduped;
+  order.resize(kept);
+  return order;
 }
 
 void ShardedControlClient::Alloc(Pasid pasid, uint64_t bytes, Callback<VirtAddr> done) {

@@ -187,36 +187,19 @@ void Device::RemovePeerPermanentlyFailedHook(uint64_t token) {
 }
 
 bool Device::RegisterRequest(const proto::Message& message) {
-  ReplayKey key{message.src, message.request_id};
-  auto it = replay_cache_.find(key);
-  if (it != replay_cache_.end()) {
-    stats_.GetCounter("duplicate_requests").Increment();
-    if (it->second.has_value()) {
-      // Already answered: replay the cached response instead of re-executing
-      // the handler (at-most-once execution, at-least-once answer).
-      stats_.GetCounter("responses_replayed").Increment();
-      SendOnBus(proto::Message(*it->second));
-    }
-    // Still being handled: drop the duplicate; the eventual reply covers it.
-    return false;
+  const ReplayGuard::Entry* seen = replay_guard_.Admit({message.src, message.request_id});
+  if (seen == nullptr) {
+    return true;
   }
-  replay_cache_.emplace(key, std::nullopt);
-  replay_order_.push_back(key);
-  if (replay_order_.size() > kReplayWindow) {
-    replay_cache_.erase(replay_order_.front());
-    replay_order_.pop_front();
+  stats_.GetCounter("duplicate_requests").Increment();
+  if (seen->answered) {
+    // Already answered: replay the cached response instead of re-executing
+    // the handler (at-most-once execution, at-least-once answer).
+    stats_.GetCounter("responses_replayed").Increment();
+    SendOnBus(proto::Message(seen->response));
   }
-  return true;
-}
-
-void Device::CacheResponse(const proto::Message& response) {
-  if (!response.request_id.valid()) {
-    return;
-  }
-  auto it = replay_cache_.find(ReplayKey{response.dst, response.request_id});
-  if (it != replay_cache_.end() && !it->second.has_value()) {
-    it->second = response;
-  }
+  // Still being handled: drop the duplicate; the eventual reply covers it.
+  return false;
 }
 
 void Device::ReceiveFromBus(proto::Message message) {
@@ -433,8 +416,7 @@ void Device::OnReset() {
     }
   }
   rpc_.AbortAll(Aborted("device reset"));
-  replay_cache_.clear();
-  replay_order_.clear();
+  replay_guard_.Clear();
   SetState(State::kSelfTest);
   context_.simulator->Schedule(config_.self_test_duration, [this] {
     if (state_ != State::kSelfTest) {
@@ -470,7 +452,7 @@ void Device::Reply(const proto::Message& request, proto::Payload payload) {
   response.dst = request.src;
   response.request_id = request.request_id;
   response.payload = std::move(payload);
-  CacheResponse(response);
+  replay_guard_.Answer(response);
   SendOnBus(std::move(response));
 }
 
@@ -479,7 +461,7 @@ void Device::ReplyError(const proto::Message& request, Status status) {
   response.dst = request.src;
   response.request_id = request.request_id;
   response.payload = proto::ErrorResponse{status.code(), status.message()};
-  CacheResponse(response);
+  replay_guard_.Answer(response);
   SendOnBus(std::move(response));
 }
 

@@ -11,11 +11,9 @@
 #define SRC_DEV_DEVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/bus/system_bus.h"
+#include "src/dev/replay_guard.h"
 #include "src/dev/rpc.h"
 #include "src/fabric/fabric.h"
 #include "src/iommu/iommu.h"
@@ -194,17 +193,10 @@ class Device {
   void HandleOpen(const proto::Message& message);
   void HandleClose(const proto::Message& message);
 
-  // --- at-most-once replay guard -------------------------------------------
-  // The RPC layer may retransmit, and the interconnect may duplicate; the
-  // server side dedups by (requester, request id) over a bounded window so
-  // non-idempotent handlers (alloc, open) never execute twice. A duplicate of
-  // an already-answered request re-sends the cached response; a duplicate of
-  // one still being handled is dropped.
-  //
-  // Returns false when the message is a duplicate and must not be dispatched.
+  // At-most-once replay guard (see ReplayGuard). Returns false when the
+  // message is a duplicate and must not be dispatched; an answered duplicate
+  // gets its cached response re-sent.
   bool RegisterRequest(const proto::Message& message);
-  // Remembers the response for potential replay (called from Reply paths).
-  void CacheResponse(const proto::Message& response);
 
   DeviceId id_;
   std::string name_;
@@ -216,12 +208,7 @@ class Device {
   std::vector<std::unique_ptr<Service>> services_;
   // Instance routing: which service owns each open instance.
   std::map<InstanceId, Service*> instance_owner_;
-  // Replay guard state: key -> cached response (empty until answered), plus
-  // FIFO eviction order bounding the window.
-  using ReplayKey = std::pair<DeviceId, RequestId>;
-  static constexpr size_t kReplayWindow = 256;
-  std::map<ReplayKey, std::optional<proto::Message>> replay_cache_;
-  std::deque<ReplayKey> replay_order_;
+  ReplayGuard replay_guard_;
   // App-level peer-failure subscribers (token -> hook); tokens are shared
   // across both maps so removal needs no kind argument.
   std::map<uint64_t, PeerFailedHook> peer_failed_hooks_;

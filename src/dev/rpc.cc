@@ -12,12 +12,16 @@ RpcEndpoint::RpcEndpoint(Device* device) : device_(device) {
 }
 
 RpcEndpoint::~RpcEndpoint() {
-  // Process teardown, not simulated failure: cancel timers without firing
-  // callbacks (their captures may already be destroyed).
-  for (auto& [id, transaction] : transactions_) {
-    device_->simulator()->Cancel(transaction.timer);
-  }
+  // Process teardown, not simulated failure: each transaction's ScopedEvent
+  // cancels its timer without firing callbacks (their captures may already be
+  // destroyed).
   transactions_.clear();
+}
+
+template <typename F>
+sim::ScopedEvent RpcEndpoint::Arm(sim::Duration delay, F&& fn) {
+  sim::Simulator* simulator = device_->simulator();
+  return sim::ScopedEvent(simulator, simulator->Schedule(delay, std::forward<F>(fn)));
 }
 
 RequestId RpcEndpoint::NextRequestId() {
@@ -30,12 +34,12 @@ sim::Duration RpcEndpoint::AttemptTimeout(const RpcOptions& options) const {
                                                  : device_->config().request_timeout;
 }
 
-void RpcEndpoint::Transmit(RequestId id, const proto::Payload& payload, DeviceId dst,
+void RpcEndpoint::Transmit(RequestId id, proto::Payload payload, DeviceId dst,
                            sim::SpanId span) {
   proto::Message message;
   message.dst = dst;
   message.request_id = id;
-  message.payload = payload;
+  message.payload = std::move(payload);
   // Send under the transaction's originating span, so retransmissions fired
   // from timer context keep their causal parent.
   sim::SpanId saved = device_->current_span_;
@@ -59,10 +63,9 @@ RequestId RpcEndpoint::Call(DeviceId dst, proto::Payload payload, RpcOptions opt
   if (options.max_attempts > 1) {
     transaction.resend = payload;
   }
-  transaction.timer =
-      device_->simulator()->Schedule(AttemptTimeout(options), [this, id] { OnDeadline(id); });
+  transaction.timer = Arm(AttemptTimeout(options), [this, id] { OnDeadline(id); });
   transactions_.emplace(id, std::move(transaction));
-  Transmit(id, payload, dst, device_->current_span_);
+  Transmit(id, std::move(payload), dst, device_->current_span_);
   device_->requests_sent_.Increment();
   return id;
 }
@@ -80,8 +83,7 @@ void RpcEndpoint::Discover(proto::ServiceType type, const std::string& resource,
   transaction.discovery = true;
   transaction.span = span;
   transaction.on_discovery = std::move(on_done);
-  transaction.timer =
-      device_->simulator()->Schedule(window, [this, id] { FinishDiscovery(id); });
+  transaction.timer = Arm(window, [this, id] { FinishDiscovery(id); });
   transactions_.emplace(id, std::move(transaction));
   Transmit(id, proto::DiscoverRequest{type, resource}, kBroadcastDevice, span);
   device_->stats_.GetCounter("discoveries").Increment();
@@ -103,7 +105,7 @@ void RpcEndpoint::OnDeadline(RequestId id) {
   // Exponential backoff: wait, then retransmit under a fresh deadline.
   uint32_t shift = transaction.attempt - 1 < 16 ? transaction.attempt - 1 : 16;
   sim::Duration wait = transaction.options.backoff * (uint64_t{1} << shift);
-  transaction.timer = device_->simulator()->Schedule(wait, [this, id] { Retransmit(id); });
+  transaction.timer = Arm(wait, [this, id] { Retransmit(id); });
 }
 
 void RpcEndpoint::Retransmit(RequestId id) {
@@ -114,8 +116,7 @@ void RpcEndpoint::Retransmit(RequestId id) {
   Transaction& transaction = it->second;
   ++transaction.attempt;
   device_->stats_.GetCounter("request_retries").Increment();
-  transaction.timer = device_->simulator()->Schedule(AttemptTimeout(transaction.options),
-                                                     [this, id] { OnDeadline(id); });
+  transaction.timer = Arm(AttemptTimeout(transaction.options), [this, id] { OnDeadline(id); });
   // Same request id on the wire: a late response to the original attempt
   // completes this transaction, and the extra response is absorbed as an
   // orphan instead of completing a stranger's call.
@@ -151,7 +152,7 @@ void RpcEndpoint::Complete(RequestId id, Result<proto::Message> result) {
   }
   Transaction transaction = std::move(it->second);
   transactions_.erase(it);
-  device_->simulator()->Cancel(transaction.timer);
+  transaction.timer.Cancel();
   if (transaction.discovery) {
     // An aborted window closes early with whatever was collected.
     sim::SpanId saved = device_->current_span_;

@@ -127,7 +127,7 @@ class RpcEndpoint {
     DeviceId dst;
     RpcOptions options;
     uint32_t attempt = 1;
-    sim::EventId timer;  // per-attempt deadline, or pending-backoff timer
+    sim::ScopedEvent timer;  // per-attempt deadline, or pending-backoff timer
     sim::SpanId span = 0;
     RawCallback callback;
     // The request payload, kept only when retransmission is possible.
@@ -140,8 +140,11 @@ class RpcEndpoint {
 
   RequestId NextRequestId();
   sim::Duration AttemptTimeout(const RpcOptions& options) const;
+  // Schedules a transaction timer on the host device's simulator.
+  template <typename F>
+  sim::ScopedEvent Arm(sim::Duration delay, F&& fn);
   // Sends (or resends) the transaction's request message under its span.
-  void Transmit(RequestId id, const proto::Payload& payload, DeviceId dst, sim::SpanId span);
+  void Transmit(RequestId id, proto::Payload payload, DeviceId dst, sim::SpanId span);
   void OnDeadline(RequestId id);
   void Retransmit(RequestId id);
   // Removes the transaction and fires its callback exactly once.

@@ -27,6 +27,9 @@ void Tlb::Insert(Pasid pasid, uint64_t vpage, PteValue value) {
       victim = &e;
     }
   }
+  if (!victim->valid) {
+    ++valid_;
+  }
   victim->valid = true;
   victim->pasid = pasid;
   victim->vpage = vpage;
@@ -35,19 +38,27 @@ void Tlb::Insert(Pasid pasid, uint64_t vpage, PteValue value) {
 }
 
 void Tlb::InvalidatePage(Pasid pasid, uint64_t vpage) {
+  if (valid_ == 0) {
+    return;
+  }
   size_t base = SetBase(pasid, vpage);
   for (uint32_t way = 0; way < config_.ways; ++way) {
     Entry& e = entries_[base + way];
     if (e.valid && e.pasid == pasid && e.vpage == vpage) {
       e.valid = false;
+      --valid_;
     }
   }
 }
 
 void Tlb::InvalidatePasid(Pasid pasid) {
+  if (valid_ == 0) {
+    return;
+  }
   for (Entry& e : entries_) {
     if (e.valid && e.pasid == pasid) {
       e.valid = false;
+      --valid_;
     }
   }
 }
@@ -56,6 +67,7 @@ void Tlb::InvalidateAll() {
   for (Entry& e : entries_) {
     e.valid = false;
   }
+  valid_ = 0;
 }
 
 double Tlb::HitRate() const {

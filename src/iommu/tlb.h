@@ -43,7 +43,8 @@ class Tlb {
 
   // Invalidation: single page, whole address space, or everything. The bus
   // shoots down TLBs on unmap/revoke, exactly like an IOTLB invalidation
-  // command in a real IOMMU.
+  // command in a real IOMMU. An empty TLB returns at once: control-plane
+  // unmaps mostly hit devices that never translated through the mapping.
   void InvalidatePage(Pasid pasid, uint64_t vpage);
   void InvalidatePasid(Pasid pasid);
   void InvalidateAll();
@@ -53,6 +54,8 @@ class Tlb {
   double HitRate() const;
 
   uint32_t capacity() const { return config_.num_sets * config_.ways; }
+  // Entries currently valid.
+  uint32_t valid_entries() const { return valid_; }
 
  private:
   struct Entry {
@@ -71,6 +74,7 @@ class Tlb {
 
   TlbConfig config_;
   std::vector<Entry> entries_;
+  uint32_t valid_ = 0;
   uint64_t clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -66,7 +66,9 @@ void MemoryController::OnReset() {
     allocator_ = mem::BuddyAllocator(config_.frame_count);
     ++epoch_;
     stats().GetCounter("shard_state_resets").Increment();
-    TraceEvent("shard-reset", "epoch=" + std::to_string(epoch_));
+    if (tracer().enabled()) {
+      TraceEvent("shard-reset", "epoch=" + std::to_string(epoch_));
+    }
   }
   dev::Device::OnReset();
 }
@@ -260,8 +262,10 @@ void MemoryController::HandleAlloc(const proto::Message& message) {
   bytes_allocated_[request.pasid] += pages * kPageSize;
   stats().GetCounter("allocations").Increment();
   stats().GetCounter("pages_allocated").Increment(pages);
-  TraceEvent("alloc", "pasid=" + std::to_string(request.pasid.value()) +
-                          " pages=" + std::to_string(pages));
+  if (tracer().enabled()) {
+    TraceEvent("alloc", "pasid=" + std::to_string(request.pasid.value()) +
+                            " pages=" + std::to_string(pages));
+  }
 
   // Direct the bus to program the requester's IOMMU; reply only once the
   // mapping is live (Fig. 2 step 6 precedes the response).
@@ -366,9 +370,11 @@ void MemoryController::HandleAllocBatch(const proto::Message& message) {
   }
   stats().GetCounter("batch_allocs").Increment();
   stats().GetCounter("batch_allocd_regions").Increment(request.count);
-  TraceEvent("alloc-batch", "pasid=" + std::to_string(request.pasid.value()) +
-                                " regions=" + std::to_string(request.count) +
-                                " pages_each=" + std::to_string(pages));
+  if (tracer().enabled()) {
+    TraceEvent("alloc-batch", "pasid=" + std::to_string(request.pasid.value()) +
+                                  " regions=" + std::to_string(request.count) +
+                                  " pages_each=" + std::to_string(pages));
+  }
 
   // One combined MapDirective programs every region; reply only once the
   // whole lease is live.
@@ -570,8 +576,10 @@ void MemoryController::HandleGrant(const proto::Message& message) {
   auto entries = EntriesFor(*allocation, request.vaddr.page(), pages, request.access);
   allocation->grants.emplace_back(request.grantee, request.access);
   stats().GetCounter("grants").Increment();
-  TraceEvent("grant", "to=" + std::to_string(request.grantee.value()) +
-                          " pages=" + std::to_string(pages));
+  if (tracer().enabled()) {
+    TraceEvent("grant", "to=" + std::to_string(request.grantee.value()) +
+                            " pages=" + std::to_string(pages));
+  }
 
   proto::Message original = message;
   SendDirective(request.grantee, request.pasid, std::move(entries), /*unmap=*/false,
@@ -736,7 +744,7 @@ void MemoryController::HandleLeaseReassert(const proto::Message& message) {
     stats().GetCounter("lease_reasserts_accepted").Increment();
     ++accepted;
   }
-  if (!request.leases.empty()) {
+  if (tracer().enabled() && !request.leases.empty()) {
     TraceEvent("lease-reassert", "from=" + std::to_string(message.src.value()) +
                                      " accepted=" + std::to_string(accepted) +
                                      " rejected=" + std::to_string(rejected));
@@ -831,7 +839,7 @@ void MemoryController::OnPeerPermanentlyFailed(DeviceId device) {
     ReleaseAllocation(pasid, it);
     stats().GetCounter("permanent_reclaims").Increment();
   }
-  if (grants_dropped > 0 || !owned.empty()) {
+  if (tracer().enabled() && (grants_dropped > 0 || !owned.empty())) {
     TraceEvent("permanent-reclaim", "device=" + std::to_string(device.value()) +
                                         " allocations=" + std::to_string(owned.size()) +
                                         " grants=" + std::to_string(grants_dropped));

@@ -313,13 +313,17 @@ void Simulator::Compact() {
   std::make_heap(cur_.begin(), cur_.end(), cmp);
   spill_.erase(std::remove_if(spill_.begin(), spill_.end(), is_stale), spill_.end());
   std::make_heap(spill_.begin(), spill_.end(), cmp);
-  for (uint32_t slot = 0; slot < buckets_.size(); ++slot) {
-    std::vector<Ref>& bucket = buckets_[slot];
-    size_t before = bucket.size();
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), is_stale), bucket.end());
-    refs_in_buckets_ -= before - bucket.size();
-    if (bucket.empty()) {
-      occupied_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
+  // Only occupied buckets can hold stale refs; the bitmap names them.
+  for (uint32_t w = 0; w < occupied_.size(); ++w) {
+    for (uint64_t word = occupied_[w]; word != 0; word &= word - 1) {
+      uint32_t slot = (w << 6) + static_cast<uint32_t>(std::countr_zero(word));
+      std::vector<Ref>& bucket = buckets_[slot];
+      size_t before = bucket.size();
+      bucket.erase(std::remove_if(bucket.begin(), bucket.end(), is_stale), bucket.end());
+      refs_in_buckets_ -= before - bucket.size();
+      if (bucket.empty()) {
+        occupied_[w] &= ~(uint64_t{1} << (slot & 63));
+      }
     }
   }
   cancelled_refs_ = 0;

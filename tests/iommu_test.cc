@@ -121,6 +121,88 @@ TEST(TlbTest, InsertExistingUpdatesInPlace) {
   EXPECT_EQ(hit->pframe, 9u);
 }
 
+// valid_entries() is what lets an invalidation on an empty TLB return at
+// once, so it must stay exact through every way an entry comes and goes.
+TEST(TlbTest, ValidCountTracksRefreshEvictionAndInvalidation) {
+  Tlb tlb(TlbConfig{1, 2});
+  EXPECT_EQ(tlb.valid_entries(), 0u);
+  tlb.Insert(Pasid(1), 1, PteValue{1, Access::kRead});
+  tlb.Insert(Pasid(1), 1, PteValue{2, Access::kRead});  // refresh in place
+  EXPECT_EQ(tlb.valid_entries(), 1u);
+  tlb.Insert(Pasid(2), 1, PteValue{3, Access::kRead});
+  tlb.Insert(Pasid(1), 2, PteValue{4, Access::kRead});  // evicts the LRU entry
+  EXPECT_EQ(tlb.valid_entries(), 2u);
+  tlb.InvalidatePage(Pasid(1), 7);  // absent: no change
+  EXPECT_EQ(tlb.valid_entries(), 2u);
+  tlb.InvalidatePage(Pasid(1), 2);
+  EXPECT_EQ(tlb.valid_entries(), 1u);
+  tlb.InvalidatePasid(Pasid(1));  // holds no entry any more
+  EXPECT_EQ(tlb.valid_entries(), 1u);
+  tlb.InvalidatePasid(Pasid(2));
+  EXPECT_EQ(tlb.valid_entries(), 0u);
+  tlb.Insert(Pasid(1), 1, PteValue{1, Access::kRead});
+  tlb.InvalidateAll();
+  EXPECT_EQ(tlb.valid_entries(), 0u);
+
+  // Seeded churn over a small universe, checked against a probe of a copy
+  // (probing the original would perturb its LRU state).
+  sim::Rng rng(14);
+  Tlb churn(TlbConfig{2, 2});
+  for (int step = 0; step < 5000; ++step) {
+    Pasid pasid(static_cast<uint32_t>(rng.NextBelow(3)));
+    uint64_t vpage = rng.NextBelow(6);
+    switch (rng.NextBelow(10)) {
+      case 0:
+        churn.InvalidatePasid(pasid);
+        break;
+      case 1:
+        churn.InvalidateAll();
+        break;
+      case 2:
+      case 3:
+      case 4:
+        churn.InvalidatePage(pasid, vpage);
+        break;
+      default:
+        churn.Insert(pasid, vpage, PteValue{vpage, Access::kRead});
+        break;
+    }
+    Tlb probe = churn;
+    uint32_t present = 0;
+    for (uint32_t p = 0; p < 3; ++p) {
+      for (uint64_t v = 0; v < 6; ++v) {
+        present += probe.Lookup(Pasid(p), v).has_value() ? 1 : 0;
+      }
+    }
+    ASSERT_EQ(churn.valid_entries(), present) << "step " << step;
+  }
+}
+
+TEST(TlbTest, InvalidationOnEmptyTlbChangesNothing) {
+  Tlb tlb(TlbConfig{16, 4});
+  tlb.InvalidatePage(Pasid(1), 100);
+  tlb.InvalidatePasid(Pasid(1));
+  tlb.InvalidateAll();
+  EXPECT_EQ(tlb.valid_entries(), 0u);
+  EXPECT_EQ(tlb.hits(), 0u);
+  EXPECT_EQ(tlb.misses(), 0u);
+  EXPECT_FALSE(tlb.Lookup(Pasid(1), 100).has_value());
+  tlb.Insert(Pasid(1), 100, PteValue{55, Access::kRead});
+  ASSERT_TRUE(tlb.Lookup(Pasid(1), 100).has_value());
+  EXPECT_EQ(tlb.hits(), 1u);
+  EXPECT_EQ(tlb.misses(), 1u);
+
+  // Emptied by invalidation, the TLB again ignores shootdowns and counts
+  // lookups as before.
+  tlb.InvalidatePage(Pasid(1), 100);
+  tlb.InvalidatePage(Pasid(1), 100);
+  tlb.InvalidatePasid(Pasid(2));
+  EXPECT_EQ(tlb.valid_entries(), 0u);
+  EXPECT_FALSE(tlb.Lookup(Pasid(1), 100).has_value());
+  EXPECT_EQ(tlb.hits(), 1u);
+  EXPECT_EQ(tlb.misses(), 2u);
+}
+
 class IommuTest : public ::testing::Test {
  protected:
   IommuTest() : iommu_(DeviceId(7)) {}

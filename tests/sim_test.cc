@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -362,6 +363,49 @@ TEST(SimulatorTest, CancelledBurstTriggersCompaction) {
   EXPECT_EQ(simulator.pending_events(), 0u);
   simulator.Run();
   EXPECT_EQ(simulator.events_executed(), 0u);
+}
+
+// Compaction visits only the occupied calendar buckets. With the ring base
+// moved past slot 0, live and cancelled refs sit in buckets on both sides of
+// the wrap and in the spill heap; a stale ref the sweep missed would later be
+// skimmed and drive cancelled_refs() below zero.
+TEST(SimulatorTest, CompactionSweepsWrappedBucketsAndSpill) {
+  Simulator simulator(CalendarConfig{Duration::Nanos(10), 8});  // 80ns window
+  simulator.Schedule(Duration::Nanos(55), [] {});
+  simulator.Run();  // Now() == 55; the ring base sits at slot 5
+  ASSERT_EQ(simulator.Now().nanos(), 55u);
+
+  std::vector<std::pair<uint64_t, int>> ran;
+  std::vector<std::pair<uint64_t, int>> expected;
+  std::vector<EventId> doomed;
+  int tag = 0;
+  for (int round = 0; round < 4; ++round) {
+    // Delays 5..75 land in ring slots 5,6,7,0,1,...; 100+ lands in spill.
+    for (uint64_t delay : {5u, 15u, 25u, 35u, 45u, 60u, 75u, 100u, 300u}) {
+      int live_tag = tag++;
+      simulator.Schedule(Duration::Nanos(delay), [&simulator, &ran, live_tag] {
+        ran.emplace_back(simulator.Now().nanos(), live_tag);
+      });
+      expected.emplace_back(55 + delay, live_tag);
+    }
+  }
+  // 64 cancelled refs against 36 live ones: the last cancel compacts.
+  for (int i = 0; i < 64; ++i) {
+    uint64_t delay = 5 + 10 * static_cast<uint64_t>(i % 8) + (i % 3 == 0 ? 200 : 0);
+    doomed.push_back(simulator.Schedule(Duration::Nanos(delay), [] {}));
+  }
+  for (EventId id : doomed) {
+    ASSERT_TRUE(simulator.Cancel(id));
+  }
+  EXPECT_EQ(simulator.compactions(), 1u);
+  EXPECT_EQ(simulator.cancelled_refs(), 0u);
+  EXPECT_EQ(simulator.pending_events(), expected.size());
+
+  simulator.Run();
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(simulator.cancelled_refs(), 0u);
 }
 
 TEST(SimulatorTest, CancelReclaimsCapturedStateImmediately) {
