@@ -36,6 +36,9 @@ enum class StatusCode : uint8_t {
   kPartitioned = 13,      // cross-segment link down: destination segment unreachable
 };
 
+// The largest valid StatusCode; the bus codec rejects bytes above it.
+constexpr StatusCode EnumMax(StatusCode) { return StatusCode::kPartitioned; }
+
 std::string_view StatusCodeName(StatusCode code);
 
 // A condition code with optional detail text. Cheap to copy when OK.

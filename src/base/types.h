@@ -142,6 +142,8 @@ constexpr Access operator|(Access a, Access b) {
 constexpr Access operator&(Access a, Access b) {
   return static_cast<Access>(static_cast<uint8_t>(a) & static_cast<uint8_t>(b));
 }
+// The largest valid Access bitmask; the bus codec rejects bytes above it.
+constexpr Access EnumMax(Access) { return Access::kRead | Access::kWrite | Access::kExecute; }
 // True if `granted` covers every right in `wanted`.
 constexpr bool AccessCovers(Access granted, Access wanted) {
   return (static_cast<uint8_t>(granted) & static_cast<uint8_t>(wanted)) ==

@@ -5,6 +5,10 @@
 // routes in-memory `Message` objects for speed but uses EncodedSize() to model
 // serialization latency, and the loopback tests round-trip every payload kind
 // through the codec to keep it honest.
+//
+// Nothing here is written per message type: encode, decode and EncodedSize
+// walk each payload's `Fields` (see message.h) in declaration order, so the
+// wire layout of a type is the order of its members.
 #ifndef SRC_PROTO_CODEC_H_
 #define SRC_PROTO_CODEC_H_
 
@@ -33,9 +37,7 @@ class ByteWriter {
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
   size_t size() const { return bytes_.size(); }
-  // Empties the sink but keeps its capacity, so a reused writer stops
-  // allocating once it has seen the largest message.
-  void Clear() { bytes_.clear(); }
+  void Reserve(size_t n) { bytes_.reserve(n); }
 
  private:
   std::vector<uint8_t> bytes_;

@@ -29,99 +29,11 @@ std::string_view ServiceTypeName(ServiceType type) {
 }
 
 std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kAliveAnnounce:
-      return "AliveAnnounce";
-    case MessageType::kDiscoverRequest:
-      return "DiscoverRequest";
-    case MessageType::kDiscoverResponse:
-      return "DiscoverResponse";
-    case MessageType::kOpenRequest:
-      return "OpenRequest";
-    case MessageType::kOpenResponse:
-      return "OpenResponse";
-    case MessageType::kCloseRequest:
-      return "CloseRequest";
-    case MessageType::kCloseResponse:
-      return "CloseResponse";
-    case MessageType::kMemAllocRequest:
-      return "MemAllocRequest";
-    case MessageType::kMemAllocResponse:
-      return "MemAllocResponse";
-    case MessageType::kMapDirective:
-      return "MapDirective";
-    case MessageType::kMemFreeRequest:
-      return "MemFreeRequest";
-    case MessageType::kMemFreeResponse:
-      return "MemFreeResponse";
-    case MessageType::kGrantRequest:
-      return "GrantRequest";
-    case MessageType::kGrantResponse:
-      return "GrantResponse";
-    case MessageType::kRevokeRequest:
-      return "RevokeRequest";
-    case MessageType::kRevokeResponse:
-      return "RevokeResponse";
-    case MessageType::kNotify:
-      return "Notify";
-    case MessageType::kResourceFailed:
-      return "ResourceFailed";
-    case MessageType::kDeviceFailed:
-      return "DeviceFailed";
-    case MessageType::kResetSignal:
-      return "ResetSignal";
-    case MessageType::kTeardownApp:
-      return "TeardownApp";
-    case MessageType::kLoadImage:
-      return "LoadImage";
-    case MessageType::kLoadImageResponse:
-      return "LoadImageResponse";
-    case MessageType::kAuthRequest:
-      return "AuthRequest";
-    case MessageType::kAuthResponse:
-      return "AuthResponse";
-    case MessageType::kErrorResponse:
-      return "ErrorResponse";
-    case MessageType::kMapConfirm:
-      return "MapConfirm";
-    case MessageType::kAttachQueue:
-      return "AttachQueue";
-    case MessageType::kAttachQueueResponse:
-      return "AttachQueueResponse";
-    case MessageType::kHeartbeat:
-      return "Heartbeat";
-    case MessageType::kFileCreate:
-      return "FileCreate";
-    case MessageType::kFileDelete:
-      return "FileDelete";
-    case MessageType::kFileAdminResponse:
-      return "FileAdminResponse";
-    case MessageType::kFileList:
-      return "FileList";
-    case MessageType::kFileListResponse:
-      return "FileListResponse";
-    case MessageType::kDevicePermanentlyFailed:
-      return "DevicePermanentlyFailed";
-    case MessageType::kMemAllocBatchRequest:
-      return "MemAllocBatchRequest";
-    case MessageType::kMemAllocBatchResponse:
-      return "MemAllocBatchResponse";
-    case MessageType::kMemFreeBatchRequest:
-      return "MemFreeBatchRequest";
-    case MessageType::kMemFreeBatchResponse:
-      return "MemFreeBatchResponse";
-    case MessageType::kMemShardAnnounce:
-      return "MemShardAnnounce";
-    case MessageType::kShardDirectoryRequest:
-      return "ShardDirectoryRequest";
-    case MessageType::kShardDirectoryResponse:
-      return "ShardDirectoryResponse";
-    case MessageType::kLeaseReassertRequest:
-      return "LeaseReassertRequest";
-    case MessageType::kLeaseReassertResponse:
-      return "LeaseReassertResponse";
-  }
-  return "Unknown";
+#define LASTCPU_MESSAGE_NAME(Name, is_response) #Name,
+  static constexpr std::string_view kNames[] = {LASTCPU_BUS_MESSAGES(LASTCPU_MESSAGE_NAME)};
+#undef LASTCPU_MESSAGE_NAME
+  auto index = static_cast<size_t>(type);
+  return index < kMessageTypeCount ? kNames[index] : "Unknown";
 }
 
 Message MakeRequest(DeviceId src, DeviceId dst, RequestId id, Payload payload) {

@@ -6,11 +6,17 @@
 // protocol to be "not more computationally intensive ... than many existing
 // control protocols such as AHCI/EHCI"; all payloads here are plain data with
 // a compact binary codec (see codec.h).
+//
+// Adding a message type takes one row in LASTCPU_BUS_MESSAGES and its payload
+// struct with a `Fields` line listing the members in wire order (empty structs
+// need none). The codec, names and response classification follow from those.
 #ifndef SRC_PROTO_MESSAGE_H_
 #define SRC_PROTO_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -34,6 +40,9 @@ enum class ServiceType : uint8_t {
   kKeyValue = 8,  // application-level KVS endpoint (paper Sec. 3)
 };
 
+// The largest valid ServiceType; the codec rejects bytes above it.
+constexpr ServiceType EnumMax(ServiceType) { return ServiceType::kKeyValue; }
+
 std::string_view ServiceTypeName(ServiceType type);
 
 // Advertises one service offered by a device, returned by discovery.
@@ -43,6 +52,7 @@ struct ServiceDescriptor {
   std::string name;           // e.g. "flashfs", "kv-frontend"
   uint32_t max_instances = 0; // 0 = unlimited
 
+  static auto Fields(auto& p) { return std::tie(p.provider, p.type, p.name, p.max_instances); }
   friend bool operator==(const ServiceDescriptor&, const ServiceDescriptor&) = default;
 };
 
@@ -52,6 +62,7 @@ struct MapEntry {
   uint64_t pframe = 0;  // physical frame number
   Access access = Access::kNone;
 
+  static auto Fields(auto& p) { return std::tie(p.vpage, p.pframe, p.access); }
   friend bool operator==(const MapEntry&, const MapEntry&) = default;
 };
 
@@ -65,6 +76,7 @@ struct AliveAnnounce {
   std::string device_name;
   std::vector<ServiceDescriptor> services;
 
+  static auto Fields(auto& p) { return std::tie(p.device_name, p.services); }
   friend bool operator==(const AliveAnnounce&, const AliveAnnounce&) = default;
 };
 
@@ -74,6 +86,7 @@ struct DiscoverRequest {
   ServiceType type = ServiceType::kMemory;
   std::string resource;  // optional, e.g. a file name the service must own
 
+  static auto Fields(auto& p) { return std::tie(p.type, p.resource); }
   friend bool operator==(const DiscoverRequest&, const DiscoverRequest&) = default;
 };
 
@@ -81,6 +94,7 @@ struct DiscoverRequest {
 struct DiscoverResponse {
   ServiceDescriptor descriptor;
 
+  static auto Fields(auto& p) { return std::tie(p.descriptor); }
   friend bool operator==(const DiscoverResponse&, const DiscoverResponse&) = default;
 };
 
@@ -92,6 +106,9 @@ struct OpenRequest {
   uint64_t auth_token = 0;
   Pasid pasid;
 
+  static auto Fields(auto& p) {
+    return std::tie(p.service_name, p.resource, p.auth_token, p.pasid);
+  }
   friend bool operator==(const OpenRequest&, const OpenRequest&) = default;
 };
 
@@ -102,12 +119,16 @@ struct OpenResponse {
   uint64_t shared_bytes_required = 0;
   uint16_t queue_depth = 0;
 
+  static auto Fields(auto& p) {
+    return std::tie(p.instance, p.shared_bytes_required, p.queue_depth);
+  }
   friend bool operator==(const OpenResponse&, const OpenResponse&) = default;
 };
 
 struct CloseRequest {
   InstanceId instance;
 
+  static auto Fields(auto& p) { return std::tie(p.instance); }
   friend bool operator==(const CloseRequest&, const CloseRequest&) = default;
 };
 
@@ -123,6 +144,7 @@ struct MemAllocRequest {
   VirtAddr vaddr_hint;
   Access access = Access::kReadWrite;
 
+  static auto Fields(auto& p) { return std::tie(p.pasid, p.bytes, p.vaddr_hint, p.access); }
   friend bool operator==(const MemAllocRequest&, const MemAllocRequest&) = default;
 };
 
@@ -136,6 +158,7 @@ struct MemAllocResponse {
   // the successor can rebuild its table without re-placing memory.
   uint64_t first_frame = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.vaddr, p.bytes, p.first_frame); }
   friend bool operator==(const MemAllocResponse&, const MemAllocResponse&) = default;
 };
 
@@ -155,6 +178,7 @@ struct MapDirective {
   // extended to the control plane itself).
   uint64_t epoch = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.target, p.pasid, p.entries, p.unmap, p.epoch); }
   friend bool operator==(const MapDirective&, const MapDirective&) = default;
 };
 
@@ -163,6 +187,7 @@ struct MemFreeRequest {
   VirtAddr vaddr;
   uint64_t bytes = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.pasid, p.vaddr, p.bytes); }
   friend bool operator==(const MemFreeRequest&, const MemFreeRequest&) = default;
 };
 
@@ -180,6 +205,7 @@ struct GrantRequest {
   DeviceId grantee;
   Access access = Access::kReadWrite;
 
+  static auto Fields(auto& p) { return std::tie(p.pasid, p.vaddr, p.bytes, p.grantee, p.access); }
   friend bool operator==(const GrantRequest&, const GrantRequest&) = default;
 };
 
@@ -193,6 +219,7 @@ struct RevokeRequest {
   uint64_t bytes = 0;
   DeviceId grantee;
 
+  static auto Fields(auto& p) { return std::tie(p.pasid, p.vaddr, p.bytes, p.grantee); }
   friend bool operator==(const RevokeRequest&, const RevokeRequest&) = default;
 };
 
@@ -206,6 +233,7 @@ struct Notify {
   InstanceId instance;
   uint64_t payload = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.instance, p.payload); }
   friend bool operator==(const Notify&, const Notify&) = default;
 };
 
@@ -216,6 +244,7 @@ struct ResourceFailed {
   InstanceId instance;
   std::string reason;
 
+  static auto Fields(auto& p) { return std::tie(p.service_name, p.instance, p.reason); }
   friend bool operator==(const ResourceFailed&, const ResourceFailed&) = default;
 };
 
@@ -224,6 +253,7 @@ struct ResourceFailed {
 struct DeviceFailed {
   DeviceId device;
 
+  static auto Fields(auto& p) { return std::tie(p.device); }
   friend bool operator==(const DeviceFailed&, const DeviceFailed&) = default;
 };
 
@@ -240,6 +270,7 @@ struct DevicePermanentlyFailed {
   DeviceId device;
   std::string reason;
 
+  static auto Fields(auto& p) { return std::tie(p.device, p.reason); }
   friend bool operator==(const DevicePermanentlyFailed&, const DevicePermanentlyFailed&) = default;
 };
 
@@ -248,6 +279,7 @@ struct DevicePermanentlyFailed {
 struct TeardownApp {
   Pasid pasid;
 
+  static auto Fields(auto& p) { return std::tie(p.pasid); }
   friend bool operator==(const TeardownApp&, const TeardownApp&) = default;
 };
 
@@ -259,6 +291,7 @@ struct LoadImage {
   std::vector<uint8_t> image;
   uint64_t auth_token = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.app_name, p.image, p.auth_token); }
   friend bool operator==(const LoadImage&, const LoadImage&) = default;
 };
 
@@ -272,6 +305,7 @@ struct AuthRequest {
   std::string user;
   std::string secret;
 
+  static auto Fields(auto& p) { return std::tie(p.user, p.secret); }
   friend bool operator==(const AuthRequest&, const AuthRequest&) = default;
 };
 
@@ -279,6 +313,7 @@ struct AuthResponse {
   uint64_t token = 0;
   uint64_t expiry_nanos = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.token, p.expiry_nanos); }
   friend bool operator==(const AuthResponse&, const AuthResponse&) = default;
 };
 
@@ -287,6 +322,7 @@ struct ErrorResponse {
   StatusCode code = StatusCode::kInternal;
   std::string message;
 
+  static auto Fields(auto& p) { return std::tie(p.code, p.message); }
   friend bool operator==(const ErrorResponse&, const ErrorResponse&) = default;
 };
 
@@ -296,6 +332,7 @@ struct MapConfirm {
   DeviceId target;
   Pasid pasid;
 
+  static auto Fields(auto& p) { return std::tie(p.target, p.pasid); }
   friend bool operator==(const MapConfirm&, const MapConfirm&) = default;
 };
 
@@ -307,6 +344,7 @@ struct AttachQueue {
   InstanceId instance;
   VirtAddr base;
 
+  static auto Fields(auto& p) { return std::tie(p.instance, p.base); }
   friend bool operator==(const AttachQueue&, const AttachQueue&) = default;
 };
 
@@ -327,6 +365,7 @@ struct FileCreate {
   std::string name;
   uint64_t auth_token = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.name, p.auth_token); }
   friend bool operator==(const FileCreate&, const FileCreate&) = default;
 };
 
@@ -335,6 +374,7 @@ struct FileDelete {
   std::string name;
   uint64_t auth_token = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.name, p.auth_token); }
   friend bool operator==(const FileDelete&, const FileDelete&) = default;
 };
 
@@ -347,12 +387,14 @@ struct FileAdminResponse {
 struct FileList {
   uint64_t auth_token = 0;
 
+  static auto Fields(auto& p) { return std::tie(p.auth_token); }
   friend bool operator==(const FileList&, const FileList&) = default;
 };
 
 struct FileListResponse {
   std::vector<std::string> names;
 
+  static auto Fields(auto& p) { return std::tie(p.names); }
   friend bool operator==(const FileListResponse&, const FileListResponse&) = default;
 };
 
@@ -367,6 +409,7 @@ struct MemAllocBatchRequest {
   uint32_t count = 0;
   Access access = Access::kReadWrite;
 
+  static auto Fields(auto& p) { return std::tie(p.pasid, p.bytes, p.count, p.access); }
   friend bool operator==(const MemAllocBatchRequest&, const MemAllocBatchRequest&) = default;
 };
 
@@ -378,6 +421,7 @@ struct MemAllocBatchResponse {
   // see MemAllocResponse::first_frame). Empty from pre-lease encoders.
   std::vector<uint64_t> first_frames;
 
+  static auto Fields(auto& p) { return std::tie(p.vaddrs, p.bytes, p.first_frames); }
   friend bool operator==(const MemAllocBatchResponse&, const MemAllocBatchResponse&) = default;
 };
 
@@ -388,6 +432,7 @@ struct MemFreeBatchRequest {
   std::vector<VirtAddr> vaddrs;
   uint64_t bytes = 0;  // bytes per region
 
+  static auto Fields(auto& p) { return std::tie(p.pasid, p.vaddrs, p.bytes); }
   friend bool operator==(const MemFreeBatchRequest&, const MemFreeBatchRequest&) = default;
 };
 
@@ -411,6 +456,9 @@ struct ShardRecord {
   // leases must be re-asserted".
   uint64_t epoch = 0;
 
+  static auto Fields(auto& p) {
+    return std::tie(p.device, p.segment, p.va_base, p.va_limit, p.capacity_bytes, p.epoch);
+  }
   friend bool operator==(const ShardRecord&, const ShardRecord&) = default;
 };
 
@@ -423,6 +471,7 @@ struct ShardRecord {
 struct MemShardAnnounce {
   ShardRecord shard;
 
+  static auto Fields(auto& p) { return std::tie(p.shard); }
   friend bool operator==(const MemShardAnnounce&, const MemShardAnnounce&) = default;
 };
 
@@ -436,6 +485,7 @@ struct ShardDirectoryRequest {
 struct ShardDirectoryResponse {
   std::vector<ShardRecord> shards;
 
+  static auto Fields(auto& p) { return std::tie(p.shards); }
   friend bool operator==(const ShardDirectoryResponse&, const ShardDirectoryResponse&) = default;
 };
 
@@ -444,6 +494,7 @@ struct LeaseGrant {
   DeviceId grantee;
   Access access = Access::kReadWrite;
 
+  static auto Fields(auto& p) { return std::tie(p.grantee, p.access); }
   friend bool operator==(const LeaseGrant&, const LeaseGrant&) = default;
 };
 
@@ -457,6 +508,9 @@ struct LeaseRecord {
   Access access = Access::kReadWrite;
   std::vector<LeaseGrant> grants;
 
+  static auto Fields(auto& p) {
+    return std::tie(p.pasid, p.vaddr, p.bytes, p.first_frame, p.access, p.grants);
+  }
   friend bool operator==(const LeaseRecord&, const LeaseRecord&) = default;
 };
 
@@ -469,6 +523,7 @@ struct LeaseRecord {
 struct LeaseReassertRequest {
   std::vector<LeaseRecord> leases;
 
+  static auto Fields(auto& p) { return std::tie(p.leases); }
   friend bool operator==(const LeaseReassertRequest&, const LeaseReassertRequest&) = default;
 };
 
@@ -477,70 +532,96 @@ struct LeaseReassertResponse {
   uint32_t rejected = 0;
   uint64_t epoch = 0;  // the controller's current registration epoch
 
+  static auto Fields(auto& p) { return std::tie(p.accepted, p.rejected, p.epoch); }
   friend bool operator==(const LeaseReassertResponse&, const LeaseReassertResponse&) = default;
 };
 
-using Payload =
-    std::variant<AliveAnnounce, DiscoverRequest, DiscoverResponse, OpenRequest, OpenResponse,
-                 CloseRequest, CloseResponse, MemAllocRequest, MemAllocResponse, MapDirective,
-                 MemFreeRequest, MemFreeResponse, GrantRequest, GrantResponse, RevokeRequest,
-                 RevokeResponse, Notify, ResourceFailed, DeviceFailed, ResetSignal, TeardownApp,
-                 LoadImage, LoadImageResponse, AuthRequest, AuthResponse, ErrorResponse,
-                 MapConfirm, AttachQueue, AttachQueueResponse, Heartbeat, FileCreate, FileDelete,
-                 FileAdminResponse, FileList, FileListResponse, DevicePermanentlyFailed,
-                 MemAllocBatchRequest, MemAllocBatchResponse, MemFreeBatchRequest,
-                 MemFreeBatchResponse, MemShardAnnounce, ShardDirectoryRequest,
-                 ShardDirectoryResponse, LeaseReassertRequest, LeaseReassertResponse>;
+// ---------------------------------------------------------------------------
+// The message table: the one place a bus message type is declared. Each row
+// names a payload struct above and says whether it is a response (a reply
+// that completes a pending request and is never error-bounced). The row's
+// position is its MessageType value, its Payload variant index and its
+// on-wire type tag, so rows are only ever appended. The enum, the variant,
+// MessageTypeName and IsResponse are generated from this list; the codec
+// walks each struct's Fields.
+// ---------------------------------------------------------------------------
+#define LASTCPU_BUS_MESSAGES(X)       \
+  X(AliveAnnounce, false)           \
+  X(DiscoverRequest, false)         \
+  X(DiscoverResponse, true)         \
+  X(OpenRequest, false)             \
+  X(OpenResponse, true)             \
+  X(CloseRequest, false)            \
+  X(CloseResponse, true)            \
+  X(MemAllocRequest, false)         \
+  X(MemAllocResponse, true)         \
+  X(MapDirective, false)            \
+  X(MemFreeRequest, false)          \
+  X(MemFreeResponse, true)          \
+  X(GrantRequest, false)            \
+  X(GrantResponse, true)            \
+  X(RevokeRequest, false)           \
+  X(RevokeResponse, true)           \
+  X(Notify, false)                  \
+  X(ResourceFailed, false)          \
+  X(DeviceFailed, false)            \
+  X(ResetSignal, false)             \
+  X(TeardownApp, false)             \
+  X(LoadImage, false)               \
+  X(LoadImageResponse, true)        \
+  X(AuthRequest, false)             \
+  X(AuthResponse, true)             \
+  X(ErrorResponse, true)            \
+  X(MapConfirm, true)               \
+  X(AttachQueue, false)             \
+  X(AttachQueueResponse, true)      \
+  X(Heartbeat, false)               \
+  X(FileCreate, false)              \
+  X(FileDelete, false)              \
+  X(FileAdminResponse, true)        \
+  X(FileList, false)                \
+  X(FileListResponse, true)         \
+  X(DevicePermanentlyFailed, false) \
+  X(MemAllocBatchRequest, false)    \
+  X(MemAllocBatchResponse, true)    \
+  X(MemFreeBatchRequest, false)     \
+  X(MemFreeBatchResponse, true)     \
+  X(MemShardAnnounce, false)        \
+  X(ShardDirectoryRequest, false)   \
+  X(ShardDirectoryResponse, true)   \
+  X(LeaseReassertRequest, false)    \
+  X(LeaseReassertResponse, true)
 
-// Message kind; the numeric value doubles as the variant index of Payload and
-// the on-wire type tag, so keep both in sync.
-enum class MessageType : uint16_t {
-  kAliveAnnounce = 0,
-  kDiscoverRequest = 1,
-  kDiscoverResponse = 2,
-  kOpenRequest = 3,
-  kOpenResponse = 4,
-  kCloseRequest = 5,
-  kCloseResponse = 6,
-  kMemAllocRequest = 7,
-  kMemAllocResponse = 8,
-  kMapDirective = 9,
-  kMemFreeRequest = 10,
-  kMemFreeResponse = 11,
-  kGrantRequest = 12,
-  kGrantResponse = 13,
-  kRevokeRequest = 14,
-  kRevokeResponse = 15,
-  kNotify = 16,
-  kResourceFailed = 17,
-  kDeviceFailed = 18,
-  kResetSignal = 19,
-  kTeardownApp = 20,
-  kLoadImage = 21,
-  kLoadImageResponse = 22,
-  kAuthRequest = 23,
-  kAuthResponse = 24,
-  kErrorResponse = 25,
-  kMapConfirm = 26,
-  kAttachQueue = 27,
-  kAttachQueueResponse = 28,
-  kHeartbeat = 29,
-  kFileCreate = 30,
-  kFileDelete = 31,
-  kFileAdminResponse = 32,
-  kFileList = 33,
-  kFileListResponse = 34,
-  kDevicePermanentlyFailed = 35,
-  kMemAllocBatchRequest = 36,
-  kMemAllocBatchResponse = 37,
-  kMemFreeBatchRequest = 38,
-  kMemFreeBatchResponse = 39,
-  kMemShardAnnounce = 40,
-  kShardDirectoryRequest = 41,
-  kShardDirectoryResponse = 42,
-  kLeaseReassertRequest = 43,
-  kLeaseReassertResponse = 44,
+namespace internal {
+template <typename Unused, typename... Ts>
+struct VariantOfRest {
+  using type = std::variant<Ts...>;
 };
+}  // namespace internal
+
+#define LASTCPU_PAYLOAD_ALTERNATIVE(Name, is_response) , Name
+using Payload =
+    internal::VariantOfRest<void LASTCPU_BUS_MESSAGES(LASTCPU_PAYLOAD_ALTERNATIVE)>::type;
+#undef LASTCPU_PAYLOAD_ALTERNATIVE
+
+// Message kind; the value is the row's position in LASTCPU_BUS_MESSAGES.
+#define LASTCPU_MESSAGE_ENUMERATOR(Name, is_response) k##Name,
+enum class MessageType : uint16_t { LASTCPU_BUS_MESSAGES(LASTCPU_MESSAGE_ENUMERATOR) };
+#undef LASTCPU_MESSAGE_ENUMERATOR
+
+#define LASTCPU_COUNT_ROW(Name, is_response) +1
+inline constexpr size_t kMessageTypeCount = 0 LASTCPU_BUS_MESSAGES(LASTCPU_COUNT_ROW);
+#undef LASTCPU_COUNT_ROW
+
+// True for response kinds: they complete a pending request, while request
+// kinds dispatch to handlers even when they carry a request id.
+constexpr bool IsResponse(MessageType type) {
+#define LASTCPU_RESPONSE_FLAG(Name, is_response) is_response,
+  constexpr bool kIsResponse[] = {LASTCPU_BUS_MESSAGES(LASTCPU_RESPONSE_FLAG)};
+#undef LASTCPU_RESPONSE_FLAG
+  auto index = static_cast<size_t>(type);
+  return index < kMessageTypeCount && kIsResponse[index];
+}
 
 std::string_view MessageTypeName(MessageType type);
 
